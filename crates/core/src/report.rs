@@ -1,7 +1,7 @@
 //! Scenario result summarization and export.
 
 use covenant_agreements::PrincipalId;
-use covenant_enforce::{CountersReport, EnforcementCounters, EngineTotals, NetTotals, SolverTotals};
+use covenant_enforce::{CountersReport, EngineTotals, NetTotals, SolverTotals};
 use covenant_sim::SimReport;
 use serde::Serialize;
 
@@ -30,8 +30,7 @@ impl PhaseRates {
 }
 
 /// The single JSON encoder behind every stack's counters payload. Section
-/// key order is fixed so each legacy emitter's exact key sequence is
-/// reproduced: engine prefix (`events_processed`, `peak_event_queue`,
+/// key order is fixed: engine prefix (`events_processed`, `peak_event_queue`,
 /// `events_per_sec`), admission (`admitted`, `deferred`, `parked`), the
 /// solver profile, engine suffix (`tree_messages`,
 /// `pairwise_messages_equivalent`, `dropped_server`), the net section
@@ -204,28 +203,16 @@ pub fn sim_counters_json(report: &SimReport) -> crate::json::Value {
     counters_report_json(&sim_counters(report))
 }
 
-/// Live-deployment counterpart of [`sim_counters_json`]: one enforcement
-/// core's counters (admission, parking, plan cache, LP work) as a JSON
-/// object, plus `shed` — connections refused with RST at a hard cap
-/// before they ever reached admission (the legacy L4 `live_limit` gate,
-/// the sharded planes' connection/relay caps). Feed it
-/// `AdmissionControl::counters_snapshot()` from a running redirector; the
-/// shared shape lets the same tooling watch either a simulation or a live
-/// control plane.
-pub fn live_counters_json(counters: &EnforcementCounters, shed: u64) -> crate::json::Value {
-    counters_report_json(&CountersReport::live(counters, shed))
-}
-
-/// Sharded-data-plane counterpart of [`live_counters_json`]: merges the
-/// per-shard snapshots of a reactor deployment into one payload. The
-/// top-level fields are the familiar [`live_counters_json`] keys *summed
-/// across shards* (so dashboards built for the single-core shape keep
-/// working), plus `shards` (the shard count), the aggregate reactor
-/// batching counters (`reactor_wakes`, `batched_verdicts`), and a
-/// `per_shard` array retaining each shard's admission and batching
-/// profile — the load-balance view the sum hides. `shed` is summed across
-/// shards like the rest, so this payload carries exactly the
-/// [`live_counters_json`] keys plus the sharding extras.
+/// Live-deployment counterpart of [`sim_counters_json`]: merges the
+/// per-shard snapshots of a reactor deployment (`ShardedL7` /
+/// `ShardedL4::shard_snapshots`) into one payload. The top-level fields
+/// are the admission counters (`admitted`, `deferred`, `parked`), the
+/// solver profile `sim_counters_json` also carries, and `shed` —
+/// connections refused with RST at a connection/relay cap or a full park
+/// queue — all *summed across shards*. Then come `shards` (the shard
+/// count), the aggregate reactor batching counters (`reactor_wakes`,
+/// `batched_verdicts`), and a `per_shard` array retaining each shard's
+/// admission and batching profile — the load-balance view the sum hides.
 pub fn live_counters_sharded_json(shards: &[covenant_enforce::ShardSnapshot]) -> crate::json::Value {
     counters_report_json(&CountersReport::sharded(shards))
 }
@@ -308,6 +295,7 @@ impl ScenarioOutcome {
 mod tests {
     use super::*;
     use covenant_agreements::AgreementGraph;
+    use covenant_enforce::EnforcementCounters;
     use covenant_sim::{SimConfig, Simulation};
     use covenant_workload::{ClientMachine, PhasedLoad};
 
@@ -372,33 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn live_counters_json_roundtrips() {
-        let counters = EnforcementCounters {
-            admitted: 42,
-            deferred: 7,
-            parked: 3,
-            plan_cache_hits: 90,
-            plan_cache_misses: 10,
-            plan_cache_evictions: 4,
-            lp_solves: 10,
-            lp_pivots: 25,
-            lp_warm_hits: 8,
-            lp_cold_fallbacks: 2,
-        };
-        let parsed =
-            crate::json::Value::parse(&live_counters_json(&counters, 5).to_pretty()).unwrap();
-        assert_eq!(parsed["admitted"].as_f64().unwrap(), 42.0);
-        assert_eq!(parsed["deferred"].as_f64().unwrap(), 7.0);
-        assert_eq!(parsed["parked"].as_f64().unwrap(), 3.0);
-        assert_eq!(parsed["plan_cache_hits"].as_f64().unwrap(), 90.0);
-        assert_eq!(parsed["plan_cache_evictions"].as_f64().unwrap(), 4.0);
-        assert_eq!(parsed["lp_pivots"].as_f64().unwrap(), 25.0);
-        assert_eq!(parsed["lp_warm_hits"].as_f64().unwrap(), 8.0);
-        assert_eq!(parsed["lp_cold_fallbacks"].as_f64().unwrap(), 2.0);
-        assert_eq!(parsed["shed"].as_f64().unwrap(), 5.0);
-    }
-
-    #[test]
     fn sharded_counters_sum_and_retain_per_shard_profile() {
         use covenant_enforce::ShardSnapshot;
         let shards = [
@@ -406,7 +367,11 @@ mod tests {
                 counters: EnforcementCounters {
                     admitted: 100,
                     deferred: 10,
+                    parked: 3,
+                    plan_cache_evictions: 4,
                     lp_solves: 5,
+                    lp_warm_hits: 4,
+                    lp_cold_fallbacks: 1,
                     ..Default::default()
                 },
                 reactor_wakes: 40,
@@ -418,6 +383,8 @@ mod tests {
                     admitted: 60,
                     deferred: 30,
                     lp_solves: 5,
+                    lp_warm_hits: 4,
+                    lp_cold_fallbacks: 1,
                     ..Default::default()
                 },
                 reactor_wakes: 20,
@@ -427,10 +394,14 @@ mod tests {
         ];
         let v = live_counters_sharded_json(&shards);
         let parsed = crate::json::Value::parse(&v.to_pretty()).unwrap();
-        // Summed top level keeps the single-core payload shape.
+        // The top level sums every shard's admission and solver counters.
         assert_eq!(parsed["admitted"].as_f64().unwrap(), 160.0);
         assert_eq!(parsed["deferred"].as_f64().unwrap(), 40.0);
+        assert_eq!(parsed["parked"].as_f64().unwrap(), 3.0);
+        assert_eq!(parsed["plan_cache_evictions"].as_f64().unwrap(), 4.0);
         assert_eq!(parsed["lp_solves"].as_f64().unwrap(), 10.0);
+        assert_eq!(parsed["lp_warm_hits"].as_f64().unwrap(), 8.0);
+        assert_eq!(parsed["lp_cold_fallbacks"].as_f64().unwrap(), 2.0);
         assert_eq!(parsed["shards"].as_f64().unwrap(), 2.0);
         assert_eq!(parsed["reactor_wakes"].as_f64().unwrap(), 60.0);
         assert_eq!(parsed["batched_verdicts"].as_f64().unwrap(), 200.0);
@@ -465,29 +436,17 @@ mod tests {
         use covenant_enforce::ShardSnapshot;
         let o = outcome();
         let sim = keys(&sim_counters_json(&o.report));
-        let live = keys(&live_counters_json(&EnforcementCounters::default(), 0));
         let sharded = keys(&live_counters_sharded_json(&[ShardSnapshot::default()]));
         // The solver section appears verbatim — same keys, same order — in
-        // every stack's payload (single encoder, schemas cannot drift).
-        for stack in [&sim, &live, &sharded] {
-            let at = stack
-                .iter()
-                .position(|k| k == SOLVER_KEYS[0])
-                .expect("solver section present");
-            assert_eq!(&stack[at..at + SOLVER_KEYS.len()], &SOLVER_KEYS);
-        }
-        // The sharded payload is the live payload plus sharding extras.
-        assert_eq!(&sharded[..live.len()], &live[..]);
-        assert_eq!(&sharded[live.len()..], ["shards", "reactor_wakes", "batched_verdicts", "per_shard"]);
-        // Each wrapper still emits its exact legacy key set.
-        let mut want_live = vec!["admitted", "deferred", "parked"];
-        want_live.extend(SOLVER_KEYS);
-        want_live.push("shed");
-        assert_eq!(live, want_live);
+        // both payloads (single encoder, schemas cannot drift).
         let mut want_sim = vec!["events_processed", "peak_event_queue", "events_per_sec"];
         want_sim.extend(SOLVER_KEYS);
         want_sim.extend(["tree_messages", "pairwise_messages_equivalent", "dropped_server"]);
         assert_eq!(sim, want_sim);
+        let mut want_sharded = vec!["admitted", "deferred", "parked"];
+        want_sharded.extend(SOLVER_KEYS);
+        want_sharded.extend(["shed", "shards", "reactor_wakes", "batched_verdicts", "per_shard"]);
+        assert_eq!(sharded, want_sharded);
     }
 
     #[test]

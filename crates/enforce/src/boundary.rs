@@ -1,9 +1,8 @@
 //! Window-boundary alignment shared by every periodic roller.
 //!
-//! Both the coordination daemon's ticker thread and the wire transport's
-//! round timeout need the same policy after a stall: *skip* missed
-//! boundaries and resume on the aligned grid, never replay them
-//! back-to-back. Quotas are per-window; a catch-up burst would install
+//! The wire transport's round timeout needs the same policy after a stall
+//! as the reactor's `WindowTicker`: *skip* missed boundaries and resume on
+//! the aligned grid, never replay them back-to-back. Quotas are per-window; a catch-up burst would install
 //! several windows of credit at once — exactly what the agreements bound.
 
 use std::time::{Duration, Instant};

@@ -12,12 +12,13 @@
 //!   substrate.
 //! * [`CreditGate`] — implicit queuing via per-window admission credits
 //!   with fractional carry-over (§4.1, the paper's final design).
-//! * [`PrincipalQueues`] — explicit per-principal FIFO queues (the first
-//!   L7 implementation, kept for the bunching comparison).
+//! * [`PrincipalQueues`] — explicit per-principal FIFO queues (the paper's
+//!   first L7 implementation, kept as a simulator mode for the bunching
+//!   comparison).
 //! * [`RateEstimator`] — EWMA arrival-rate estimation feeding the LP in
 //!   implicit mode.
 //! * [`reinject_fifo`] — the shared FIFO drain that reinjects parked work
-//!   (simulator park queues, L7 waiting handlers, L4 parked connections)
+//!   (simulator park queues, L4 parked connections)
 //!   through fresh credit at each window boundary.
 
 #![forbid(unsafe_code)]

@@ -1,12 +1,11 @@
 //! Shared FIFO reinjection of parked work through the credit gate.
 //!
-//! Every parking transport — the simulator's CreditPark queues, the L7
-//! explicit redirector's waiting handler threads, the L4 proxy's parked
-//! TCP connections — drains the same way at each window boundary: walk the
-//! principals, pop parked items in FIFO order, admit each through the
-//! fresh credit, and stop a principal's drain at the first deferral (the
-//! head of the queue must go first or FIFO is violated). This module is
-//! that loop, written once.
+//! Every parking transport — the simulator's CreditPark queues and the L4
+//! proxy shards' parked TCP connections — drains the same way at each
+//! window boundary: walk the principals, pop parked items in FIFO order,
+//! admit each through the fresh credit, and stop a principal's drain at
+//! the first deferral (the head of the queue must go first or FIFO is
+//! violated). This module is that loop, written once.
 
 use std::collections::VecDeque;
 

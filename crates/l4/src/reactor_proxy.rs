@@ -1,18 +1,16 @@
 //! Thread-per-core L4 proxy on the readiness reactor.
 //!
-//! [`ShardedL4`] replaces the legacy accept-thread + splice-thread-pair
-//! data plane with N reactor shards. Each shard owns `SO_REUSEPORT`
+//! [`ShardedL4`] runs N reactor shards. Each shard owns `SO_REUSEPORT`
 //! listeners for every fronted service, an epoll instance, a lock-free
 //! [`ShardCore`] for admission, a private affinity map, and a private
 //! parking lot — one thread carries thousands of concurrent relays as
-//! nonblocking state machines instead of two blocking threads each.
+//! nonblocking state machines.
 //!
-//! Semantics match the legacy [`crate::L4Redirector`]: admission is
-//! charged at accept time to the service's principal, deferred
-//! connections park FIFO up to `park_limit` (shed with RST beyond it),
-//! and parked connections reinject through the shared
-//! [`reinject_fifo`] loop right after each window roll — here inside the
-//! shard's own event loop rather than a daemon thread.
+//! Admission is charged at accept time to the service's principal,
+//! deferred connections park FIFO up to `park_limit` (shed with RST beyond
+//! it), and parked connections reinject through the shared
+//! [`reinject_fifo`] loop right after each window roll, inside the shard's
+//! own event loop.
 
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_coord::{Coordinator, ShardCore};
@@ -29,7 +27,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::L4Config;
+/// One fronted service: connections to this listener are charged to
+/// `principal`.
+#[derive(Debug, Clone)]
+pub struct L4Service {
+    /// The principal whose agreements fund this service's traffic.
+    pub principal: PrincipalId,
+    /// Bind address for the service's virtual IP/port (use port 0 for an
+    /// ephemeral port).
+    pub bind: String,
+}
+
+/// Static configuration of one L4 redirector.
+#[derive(Debug, Clone)]
+pub struct L4Config {
+    /// Fronted services (one listener per principal).
+    pub services: Vec<L4Service>,
+    /// Backend server address per server index (principal id of owner).
+    pub backends: HashMap<usize, SocketAddr>,
+    /// Maximum parked connections per principal, per shard (the kernel
+    /// queue bound); connections beyond it are refused (RST).
+    pub park_limit: usize,
+    /// Maximum concurrently relayed connections per shard; admitted
+    /// connections beyond it are shed with RST.
+    pub live_limit: usize,
+}
 
 /// Epoll token of the shard's wake eventfd.
 const TOKEN_WAKE: u64 = 0;
@@ -39,8 +61,6 @@ const TOKEN_SVC_BASE: u64 = 1;
 /// Relay buffer high-watermark per direction: past this the shard stops
 /// reading from the faster side until the slower side drains.
 const HIGH_WATER: usize = 64 * 1024;
-/// Per-shard cap on live relays; accepts beyond it are shed with RST.
-const MAX_RELAYS: usize = 2048;
 
 /// One admitted connection being relayed: a client/backend socket pair
 /// and the pending bytes in each direction.
@@ -68,7 +88,7 @@ enum Pump {
     /// Both directions finished cleanly.
     Done,
     /// I/O error or failed connect: tear down silently (client sees RST
-    /// or EOF, same as the legacy splice path).
+    /// or EOF).
     Dead,
 }
 
@@ -133,6 +153,8 @@ struct ShardRuntime {
     /// Parked client connections per principal, FIFO, shard-private.
     parked: Vec<VecDeque<(TcpStream, SocketAddr)>>,
     park_limit: usize,
+    /// Cap on `conns`; admitted connections beyond it are shed with RST.
+    live_limit: usize,
     refused: Arc<AtomicU64>,
     spliced: Arc<AtomicU64>,
     /// First connection token: `TOKEN_SVC_BASE + services.len()`; relay
@@ -157,8 +179,7 @@ impl ShardRuntime {
             let ticked = match ticker.due(now) {
                 Some(boundary) => {
                     // Publish the parked backlog with the roll, then give
-                    // fresh credit to the FIFO head — the legacy daemon's
-                    // backlog/after_roll hooks, inlined.
+                    // fresh credit to the FIFO head.
                     let counts: Vec<f64> =
                         self.parked.iter().map(|q| q.len() as f64).collect();
                     self.core.roll_window_at(Some(&counts), boundary);
@@ -257,7 +278,7 @@ impl ShardRuntime {
         let Some(&backend_addr) = self.backends.get(&server) else {
             return; // no such backend: drop the connection
         };
-        if self.conns.len() >= MAX_RELAYS {
+        if self.conns.len() >= self.live_limit {
             let _ = set_rst_on_close(&client);
             self.refused.fetch_add(1, Ordering::Relaxed);
             self.stats.record_shed();
@@ -395,7 +416,7 @@ pub struct ShardedL4 {
 impl ShardedL4 {
     /// Binds `shards` reuseport listener sets and starts one reactor
     /// thread per shard. Window rolls and parked reinjection run inside
-    /// each shard's event loop (no daemon thread).
+    /// each shard's event loop.
     pub fn start(
         cfg: L4Config,
         shards: usize,
@@ -477,6 +498,7 @@ impl ShardedL4 {
                     affinity: HashMap::new(),
                     parked: (0..n_principals).map(|_| VecDeque::new()).collect(),
                     park_limit: cfg.park_limit,
+                    live_limit: cfg.live_limit,
                     refused: Arc::clone(&refused),
                     spliced: Arc::clone(&spliced),
                     conn_base,
@@ -548,7 +570,6 @@ impl Drop for ShardedL4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::L4Service;
     use covenant_agreements::AgreementGraph;
     use covenant_http::{HttpClient, OriginServer, StatusCode};
     use covenant_tree::Topology;
@@ -664,6 +685,90 @@ mod tests {
         // Telemetry: every shard handled traffic and recorded verdicts.
         let snaps = proxy.shard_snapshots();
         assert!(snaps.iter().all(|s| s.batched_verdicts > 0), "{snaps:?}");
+    }
+
+    #[test]
+    fn affinity_pins_client_to_one_backend() {
+        // Two origin servers both entitled to serve A's requests: a single
+        // client (one source IP) must stick to whichever backend it was
+        // first assigned, as long as allocations allow (§4.2's SSL-session
+        // consideration). Affinity is per shard, so one shard.
+        let mut g = AgreementGraph::new();
+        let s1 = g.add_principal("S1", 100.0);
+        let s2 = g.add_principal("S2", 100.0);
+        let a = g.add_principal("A", 0.0);
+        g.add_agreement(s1, a, 0.5, 1.0).unwrap();
+        g.add_agreement(s2, a, 0.5, 1.0).unwrap();
+
+        let o1 = OriginServer::bind("127.0.0.1:0", 1000.0, 16, Duration::from_secs(1)).unwrap();
+        let o2 = OriginServer::bind("127.0.0.1:0", 1000.0, 16, Duration::from_secs(1)).unwrap();
+        let proxy = ShardedL4::start(
+            L4Config {
+                services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
+                backends: [(0, o1.addr()), (1, o2.addr())].into(),
+                park_limit: 256,
+                live_limit: 1024,
+            },
+            1,
+            &g.access_levels(),
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .unwrap();
+        let addr = proxy.service_addr(a).unwrap();
+
+        let client = HttpClient { timeout: Duration::from_millis(500), ..HttpClient::new() };
+        let deadline = Instant::now() + Duration::from_secs(3);
+        let mut completed = 0;
+        while completed < 40 && Instant::now() < deadline {
+            if let Ok(r) = client.get(&format!("http://{addr}/x")) {
+                if r.response.status == StatusCode::OK {
+                    completed += 1;
+                }
+            }
+        }
+        assert!(completed >= 40, "only {completed} completed");
+        let (s1_served, s2_served) = (o1.served(), o2.served());
+        let max = s1_served.max(s2_served);
+        let min = s1_served.min(s2_served);
+        assert!(
+            max >= 38 && min <= 2,
+            "affinity not sticky: backend split {s1_served}/{s2_served}"
+        );
+    }
+
+    /// With a zero relay cap every *admitted* connection is shed before
+    /// its backend connect, and the refusal counter proves the cap (not
+    /// the park queue) fired.
+    #[test]
+    fn live_limit_sheds_admitted_connections() {
+        let (g, a, _b) = system();
+        let origin =
+            OriginServer::bind("127.0.0.1:0", 1000.0, 16, Duration::from_secs(1)).unwrap();
+        let proxy = ShardedL4::start(
+            L4Config {
+                services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
+                backends: [(0, origin.addr())].into(),
+                park_limit: 1024,
+                live_limit: 0,
+            },
+            1,
+            &g.access_levels(),
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .unwrap();
+        let addr = proxy.service_addr(a).unwrap();
+
+        let client = HttpClient { timeout: Duration::from_millis(300), ..HttpClient::new() };
+        let deadline = Instant::now() + Duration::from_secs(3);
+        while proxy.refused() == 0 && Instant::now() < deadline {
+            // Admitted connections hit the cap and reset; none complete.
+            assert!(client.get(&format!("http://{addr}/x")).is_err());
+        }
+        assert!(proxy.refused() > 0, "relay cap never fired");
+        assert_eq!(proxy.spliced(), 0);
+        assert_eq!(origin.served(), 0, "no connection may reach the origin");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Layer-7 HTTP redirector (paper §4.1, final implicit-queuing design).
 //!
 //! The redirector sits between clients and the clustered servers. Clients
-//! send every request to the redirector; for each one it consults the
-//! window-scheduled admission control ([`covenant_coord::AdmissionControl`])
-//! and answers with an HTTP `302 Found`:
+//! send every request to the redirector; for each one it consults its
+//! window-scheduled admission core ([`covenant_coord::ShardCore`]) and
+//! answers with an HTTP `302 Found`:
 //!
 //! * **in quota** → `Location:` the assigned backend server, so the client
 //!   re-issues the request there;
@@ -16,17 +16,14 @@
 //! mirroring the paper's "the request URL signifies the service being
 //! requested".
 //!
-//! Two data planes implement this surface: the legacy thread-per-connection
-//! [`L7Redirector`] and the thread-per-core [`ShardedL7`] reactor, which
-//! batches admission verdicts per readiness wake.
+//! [`ShardedL7`] runs this as N thread-per-core reactor shards behind one
+//! `SO_REUSEPORT` address; one shard is the single-threaded redirector.
+//! Each shard batches the admission verdicts of one readiness wake through
+//! its own lock-free core.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod explicit;
-mod redirector;
 mod shard;
 
-pub use explicit::L7ExplicitRedirector;
-pub use redirector::{L7Config, L7Redirector};
-pub use shard::ShardedL7;
+pub use shard::{L7Config, ShardedL7};

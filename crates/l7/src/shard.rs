@@ -1,24 +1,20 @@
 //! Thread-per-core L7 redirector on the readiness reactor.
 //!
-//! [`ShardedL7`] replaces the thread-per-connection [`crate::L7Redirector`]
-//! data plane with N shards, each a single thread owning one `SO_REUSEPORT`
-//! listener, one epoll instance, and one [`ShardCore`] — the enforcement
-//! state machine with no mutex, because nothing else can touch it. The
-//! kernel spreads connections across shards; admission verdicts for every
-//! connection harvested from one readiness wake run back-to-back through
-//! the shard's core (batched, zero locks, zero allocation on the hot path
-//! once buffers warm up). Shards meet only inside the shared
-//! [`Coordinator`] tree, at window boundaries, exactly like the paper's
-//! distributed redirectors.
+//! [`ShardedL7`] runs N shards, each a single thread owning one
+//! `SO_REUSEPORT` listener, one epoll instance, and one [`ShardCore`] —
+//! the enforcement state machine with no mutex, because nothing else can
+//! touch it. The kernel spreads connections across shards; admission
+//! verdicts for every connection harvested from one readiness wake run
+//! back-to-back through the shard's core (batched, zero locks, zero
+//! allocation on the hot path once buffers warm up). Shards meet only
+//! inside the shared [`Coordinator`] tree, at window boundaries, exactly
+//! like the paper's distributed redirectors.
 //!
-//! The HTTP surface is deliberately the same as the legacy redirector —
-//! `/org/<name>/…` parsed zero-copy, `302` to a backend when admitted,
-//! `302` to self (implicit queuing) when deferred, `404` for unknown
-//! principals — but the transport is keep-alive HTTP/1.1 with pipelining,
-//! which is what lets a wake carry hundreds of verdicts.
+//! The HTTP surface is `/org/<name>/…` parsed zero-copy, `302` to a
+//! backend when admitted, `302` to self (implicit queuing) when deferred,
+//! `404` for unknown principals. The transport is keep-alive HTTP/1.1
+//! with pipelining, which is what lets a wake carry hundreds of verdicts.
 
-use crate::redirector::parse_principal;
-use crate::L7Config;
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_coord::{Coordinator, ShardCore};
 use covenant_enforce::{ShardSnapshot, ShardStats};
@@ -34,6 +30,24 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Static configuration of one L7 redirector instance.
+#[derive(Debug, Clone)]
+pub struct L7Config {
+    /// Principal names by id — requests for `/org/<name>/…` are charged to
+    /// the principal with that name.
+    pub principal_names: Vec<String>,
+    /// Backend server address per server index (principal id of the
+    /// owner). Servers without capacity need no entry.
+    pub backends: HashMap<usize, SocketAddr>,
+}
+
+/// Extracts the principal from an `/org/<name>/…` path.
+fn parse_principal(path: &str, names: &HashMap<String, usize>) -> Option<usize> {
+    let rest = path.strip_prefix("/org/")?;
+    let name = rest.split('/').next()?;
+    names.get(name).copied()
+}
 
 /// Epoll token of the shard's wake eventfd.
 const TOKEN_WAKE: u64 = 0;
@@ -401,7 +415,7 @@ pub struct ShardedL7 {
 impl ShardedL7 {
     /// Binds `shards` reuseport listeners on `bind` and starts one
     /// reactor thread per shard. Window rolls are driven inside each
-    /// shard's event loop (no daemon thread).
+    /// shard's event loop.
     pub fn start(
         bind: &str,
         cfg: L7Config,
@@ -563,8 +577,8 @@ mod tests {
         }
     }
 
-    /// The legacy end-to-end enforcement test, against two reactor shards:
-    /// each `get_no_follow` is a fresh connection, so the kernel spreads
+    /// End-to-end enforcement against two reactor shards: each
+    /// `get_no_follow` is a fresh connection, so the kernel spreads
     /// the two flooding principals across both shards, and the aggregate
     /// admission ratio must still honor the 3:1 agreement.
     #[test]
@@ -700,6 +714,47 @@ mod tests {
             snap.reactor_wakes <= BURST as u64 / 2,
             "no batching: {} wakes for {BURST} verdicts",
             snap.reactor_wakes
+        );
+    }
+
+    #[test]
+    fn parse_principal_paths() {
+        let names: HashMap<String, usize> = [("A".into(), 1), ("B".into(), 2)].into();
+        assert_eq!(parse_principal("/org/A/page.html", &names), Some(1));
+        assert_eq!(parse_principal("/org/B/x/y", &names), Some(2));
+        assert_eq!(parse_principal("/org/C/x", &names), None);
+        assert_eq!(parse_principal("/other", &names), None);
+        assert_eq!(parse_principal("/org/A", &names), Some(1));
+    }
+
+    #[test]
+    fn unknown_principal_is_404_and_zero_quota_self_redirects() {
+        let mut g = AgreementGraph::new();
+        let _s = g.add_principal("S", 100.0);
+        let _a = g.add_principal("A", 0.0);
+        // No agreement: A has zero entitlement.
+        let l7 = ShardedL7::start(
+            "127.0.0.1:0",
+            L7Config { principal_names: vec!["S".into(), "A".into()], backends: HashMap::new() },
+            1,
+            &g.access_levels(),
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .unwrap();
+        let client = HttpClient::new();
+
+        let resp = client.get_no_follow(&format!("http://{}/org/Z/x", l7.addr())).unwrap();
+        assert_eq!(resp.status, StatusCode::NOT_FOUND);
+
+        // Past the first window boundary the installed plan is in force.
+        std::thread::sleep(Duration::from_millis(150));
+        let resp = client.get_no_follow(&format!("http://{}/org/A/x", l7.addr())).unwrap();
+        assert_eq!(resp.status, StatusCode::FOUND);
+        let loc = resp.header_value("location").unwrap();
+        assert!(
+            loc.contains(&l7.addr().to_string()),
+            "zero-quota request must self-redirect, got {loc}"
         );
     }
 

@@ -8,7 +8,7 @@
 //!
 //! - **R1 `wall-clock`** — no `Instant::now()` / `SystemTime::now()` in
 //!   data-plane crates (`enforce`, `sched`, `l7`, `l4`, `coord`, `http`,
-//!   `wire`, `cluster`, `verify`) outside the clock/daemon allowlist.
+//!   `wire`, `cluster`, `verify`) outside the clock allowlist.
 //!   Data-plane code takes injected time, or the sim/live differential
 //!   replay breaks. The wire transport's `WireClock` carries the only
 //!   sanctioned reads in its crate (per-line pragmas): RTT and
@@ -27,8 +27,9 @@
 //!   pass cannot see; any cycle in the combined graph fails the lint.
 //! - **R5 `reactor-blocking`** — no blocking syscall wrappers
 //!   (`.read_to_end(`, `set_nonblocking(false)`, `thread::sleep`) in
-//!   reactor callback paths (`crates/reactor/src/` and the reactor data
-//!   planes). One blocking call stalls every connection on that shard.
+//!   reactor callback paths (`crates/reactor/src/`, `crates/l7/src/` and
+//!   `crates/l4/src/`). One blocking call stalls every connection on that
+//!   shard.
 //!
 //! Escape hatch: `// covenant: allow(<rule>)` on the offending line, or on
 //! its own line directly above, suppresses that rule there. Test code
@@ -123,10 +124,10 @@ pub type Diagnostic = Diag<Rule>;
 const R1_CRATES: &[&str] =
     &["enforce", "sched", "l7", "l4", "coord", "http", "reactor", "wire", "cluster", "verify"];
 
-/// The clock/daemon allowlist: the files that *are* the clock. The window
-/// daemon turns wall time into ticks; the http clock module anchors the
-/// default wall clock the origin's token bucket takes by injection.
-const R1_ALLOW_FILES: &[&str] = &["crates/coord/src/daemon.rs", "crates/http/src/clock.rs"];
+/// The clock allowlist: the files that *are* the clock. The http clock
+/// module anchors the default wall clock the origin's token bucket takes
+/// by injection.
+const R1_ALLOW_FILES: &[&str] = &["crates/http/src/clock.rs"];
 
 /// Crates on the admission path that must stay panic-free (R2). The
 /// verifier joins the list because `Cluster::launch` runs it on the
@@ -137,13 +138,13 @@ const R2_CRATES: &[&str] =
 /// Crates included in the lock-order pass (R4).
 const R4_CRATES: &[&str] = &["tree", "coord", "l7", "l4"];
 
-/// Reactor callback paths: everything in the reactor crate plus the
-/// shard data planes driven by its event loops (R5). One blocking call
-/// here stalls every connection on the shard.
+/// Reactor callback paths: everything in the reactor crate plus the L7
+/// and L4 data-plane crates, whose code all runs on its event loops (R5).
+/// One blocking call here stalls every connection on the shard.
 fn r5_in_scope(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/reactor/src/")
-        || rel_path == "crates/l7/src/shard.rs"
-        || rel_path == "crates/l4/src/reactor_proxy.rs"
+    ["crates/reactor/src/", "crates/l7/src/", "crates/l4/src/"]
+        .iter()
+        .any(|dir| rel_path.starts_with(dir))
 }
 
 /// The linter: feed it files, then [`Linter::finish`].

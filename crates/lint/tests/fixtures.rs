@@ -136,11 +136,13 @@ fn r4_out_of_scope_crate_is_exempt() {
 
 #[test]
 fn r5_reactor_blocking_fires() {
-    // In the reactor crate itself and in the shard data planes.
+    // In the reactor crate itself and anywhere in the L7/L4 data planes.
     for rel in [
         "crates/reactor/src/fixture.rs",
         "crates/l7/src/shard.rs",
         "crates/l4/src/reactor_proxy.rs",
+        "crates/l7/src/fixture.rs",
+        "crates/l4/src/fixture.rs",
     ] {
         let diags = lint_as(rel, include_str!("fixtures/r5_bad.rs"));
         let r5: Vec<_> = diags
@@ -165,10 +167,10 @@ fn r5_nonblocking_idiom_is_clean() {
 
 #[test]
 fn r5_out_of_scope_file_is_exempt() {
-    // The same blocking calls in the legacy (thread-per-connection) data
-    // planes are their prerogative.
+    // The same blocking calls in a thread-per-connection server outside
+    // the reactor data planes are its prerogative.
     let diags = lint_as(
-        "crates/l4/src/proxy.rs",
+        "crates/http/src/server.rs",
         include_str!("fixtures/r5_bad.rs"),
     );
     assert!(

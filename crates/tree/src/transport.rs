@@ -3,14 +3,12 @@
 //! The enforcement stack talks to the combining tree through a narrow
 //! publish/read surface. [`CoordTransport`] is that surface as a trait, so
 //! the same `Coordinator` (and everything above it — `TreeCoordination`,
-//! `AdmissionControl`, `ShardCore`) runs over three interchangeable
-//! substrates:
+//! `ShardCore`) runs over two interchangeable substrates:
 //!
 //! * [`InProcessTree`] — the zero-cost path: one mutex-guarded state block
-//!   shared by every node's threads, aggregation computed synchronously on
-//!   each publish (this module);
-//! * the sharded live planes — the same [`InProcessTree`], with each
-//!   reactor shard joined as one tree leaf;
+//!   shared by every node's threads (each reactor shard joined as one tree
+//!   leaf), aggregation computed synchronously on each publish (this
+//!   module);
 //! * `covenant-wire`'s socket transport — real processes exchanging
 //!   length-prefixed frames along tree edges, where propagation delay and
 //!   message counts are *measured* rather than injected.

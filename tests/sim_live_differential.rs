@@ -1,13 +1,15 @@
 //! Simulator-vs-live differential test: the tentpole claim of the shared
-//! enforcement core is that a live control plane and a simulation of the
+//! enforcement core is that the live control plane and a simulation of the
 //! same scenario make *identical* per-window admission decisions.
 //!
 //! The simulator runs a Figure-6-style two-redirector overload scenario
 //! with per-arrival decision recording on. The recorded arrival sequence is
-//! then replayed in virtual time against two live [`AdmissionControl`]
-//! instances sharing one [`Coordinator`] tree — the same topology, levels,
-//! and scheduler configuration. Every decision must match the recorded one
-//! exactly (admit/defer *and* assigned server), with tolerance zero.
+//! then replayed in virtual time against two [`ShardCore`]s — the
+//! lock-free state machines the live reactor shards own, one per thread —
+//! joined to one combining tree, either in-process or over the loopback
+//! wire transport. The topology, levels, and scheduler configuration are
+//! the simulator's. Every decision must match the recorded one exactly
+//! (admit/defer *and* assigned server), with tolerance zero.
 //!
 //! Replay ordering mirrors the engine's event tie-break (window ticks sort
 //! before same-time arrivals): before feeding an arrival at time `t`, every
@@ -17,12 +19,12 @@
 //! identically.
 
 use covenant::agreements::AgreementGraph;
-use covenant::coord::{AdmissionControl, Coordinator, ShardCore};
+use covenant::coord::{Coordinator, ShardCore};
+use covenant::enforce::ArrivalOutcome;
+use covenant::sched::SchedulerConfig;
 use covenant::sim::{ArrivalDecision, QueueMode, SimConfig, Simulation};
 use covenant::tree::Topology;
 use covenant::workload::{ClientMachine, PhasedLoad};
-use covenant::enforce::ArrivalOutcome;
-use covenant::sched::SchedulerConfig;
 
 /// Figure 6's community: one server at 100 req/s, A entitled to
 /// [0.2, 1.0], B to [0.8, 1.0].
@@ -56,20 +58,23 @@ fn simulate(duration: f64) -> Vec<ArrivalDecision> {
     Simulation::new(cfg).run().decisions
 }
 
-/// Replays the trace against live admission controls in virtual time and
-/// returns, per decision, what the live control plane decided.
-fn replay(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
+/// Replays the trace in virtual time against one shard core per tree node
+/// (node `i` coordinates through `coordinators[i]`) and returns, per
+/// decision, what the live control plane decided. `after_roll(k)` runs
+/// once every node has rolled boundary `k` (counting from 1).
+fn replay(
+    decisions: &[ArrivalDecision],
+    duration: f64,
+    coordinators: Vec<Coordinator>,
+    mut after_roll: impl FnMut(u64),
+) -> Vec<Option<usize>> {
     let levels = fig6_graph().access_levels();
     let window = SchedulerConfig::community_default().window_secs;
-    let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
-    let ctrls: Vec<_> = (0..2)
-        .map(|node| {
-            AdmissionControl::new(
-                node,
-                &levels,
-                SchedulerConfig::community_default(),
-                coordinator.clone(),
-            )
+    let mut shards: Vec<_> = coordinators
+        .into_iter()
+        .enumerate()
+        .map(|(node, coordinator)| {
+            ShardCore::new(node, &levels, SchedulerConfig::community_default(), coordinator)
         })
         .collect();
 
@@ -86,47 +91,11 @@ fn replay(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
             if t > d.time || t > duration {
                 break;
             }
-            for ctrl in &ctrls {
-                ctrl.roll_window_at(None, t);
-            }
-            boundary += 1;
-        }
-        assert_eq!(d.cost, 1.0, "replay assumes unit-cost arrivals");
-        outcomes.push(ctrls[d.redirector].try_admit(d.principal, None));
-    }
-    outcomes
-}
-
-/// Replays the trace against reactor shard cores — the lock-free
-/// state machines the sharded epoll data planes own one-per-thread —
-/// joined to one coordinator tree exactly as the live shards are.
-fn replay_sharded(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
-    let levels = fig6_graph().access_levels();
-    let window = SchedulerConfig::community_default().window_secs;
-    let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
-    let mut shards: Vec<_> = (0..2)
-        .map(|node| {
-            ShardCore::new(
-                node,
-                &levels,
-                SchedulerConfig::community_default(),
-                coordinator.clone(),
-            )
-        })
-        .collect();
-
-    let mut boundary: u64 = 0;
-    let mut outcomes = Vec::with_capacity(decisions.len());
-    for d in decisions {
-        loop {
-            let t = boundary as f64 * window;
-            if t > d.time || t > duration {
-                break;
-            }
             for shard in shards.iter_mut() {
                 shard.roll_window_at(None, t);
             }
             boundary += 1;
+            after_roll(boundary);
         }
         assert_eq!(d.cost, 1.0, "replay assumes unit-cost arrivals");
         outcomes.push(shards[d.redirector].try_admit_at(d.principal, None, d.time));
@@ -134,11 +103,88 @@ fn replay_sharded(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<us
     outcomes
 }
 
+/// Replays the trace through shard cores sharing one in-process tree —
+/// joined exactly as the live shards are.
+fn replay_in_process(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
+    let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
+    replay(decisions, duration, vec![coordinator.clone(), coordinator], |_| {})
+}
+
+/// Replays the trace through the *wire* transport: every node is a real
+/// socket endpoint with its own epoll runtime thread, connected over
+/// loopback TCP, and the shard cores coordinate through `Up`/`Down`
+/// frames instead of shared memory. Virtual stamping plus a per-boundary
+/// barrier on round completion keeps the replay deterministic: each
+/// boundary's global total is on every node before the next read.
+fn replay_wire(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
+    use std::time::{Duration, Instant};
+
+    let window = SchedulerConfig::community_default().window_secs;
+    let nodes = covenant::wire::spawn_local(
+        &[None, Some(0)],
+        1,
+        covenant::wire::StampMode::Virtual,
+        Duration::from_secs_f64(window),
+    )
+    .expect("spawn loopback wire tree");
+    let transports: Vec<_> = nodes.iter().map(|n| n.transport()).collect();
+    let coordinators = transports
+        .iter()
+        .map(|tp| {
+            let transport: std::sync::Arc<dyn covenant::tree::CoordTransport> = tp.clone();
+            Coordinator::with_transport(transport, 0.0)
+        })
+        .collect();
+    replay(decisions, duration, coordinators, |boundary| {
+        // Barrier: the round published at this boundary must close on
+        // every node (its Down must arrive) before anyone reads again.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for tp in &transports {
+            while tp.completed_rounds() < boundary {
+                assert!(Instant::now() < deadline, "wire round {boundary} stalled");
+                std::thread::yield_now();
+            }
+        }
+    })
+}
+
+/// Asserts the replayed decisions equal the simulator's, tolerance zero.
+fn assert_reproduces(decisions: &[ArrivalDecision], live: &[Option<usize>], medium: &str) {
+    assert_eq!(live.len(), decisions.len());
+    let mut mismatches = 0;
+    for (i, (d, got)) in decisions.iter().zip(live).enumerate() {
+        let want = match d.outcome {
+            ArrivalOutcome::Forward { server } => Some(server),
+            ArrivalOutcome::Defer => None,
+            ArrivalOutcome::Queued => {
+                panic!("credit-retry scenarios never queue internally: decision {i}")
+            }
+        };
+        if *got != want {
+            mismatches += 1;
+            if mismatches <= 5 {
+                eprintln!(
+                    "decision {i} at t={:.4} (node {}, principal {:?}): \
+                     sim {:?}, {medium} {:?}",
+                    d.time, d.redirector, d.principal, want, got
+                );
+            }
+        }
+    }
+    assert_eq!(
+        mismatches,
+        0,
+        "{mismatches} of {} decisions diverged between sim and {medium}",
+        decisions.len()
+    );
+}
+
 /// The tentpole acceptance test: every recorded simulator decision —
-/// admit/defer and the assigned server — is reproduced by the live control
-/// plane, with tolerance zero.
+/// admit/defer and the assigned server — is reproduced by per-shard
+/// [`ShardCore`]s (no mutex, one tree leaf per shard), with tolerance
+/// zero.
 #[test]
-fn live_control_plane_reproduces_simulator_decisions_exactly() {
+fn sharded_cores_reproduce_simulator_decisions_exactly() {
     let duration = 3.0;
     let decisions = simulate(duration);
 
@@ -158,184 +204,32 @@ fn live_control_plane_reproduces_simulator_decisions_exactly() {
         );
     }
 
-    let live = replay(&decisions, duration);
-    assert_eq!(live.len(), decisions.len());
-    let mut mismatches = 0;
-    for (i, (d, got)) in decisions.iter().zip(&live).enumerate() {
-        let want = match d.outcome {
-            ArrivalOutcome::Forward { server } => Some(server),
-            ArrivalOutcome::Defer => None,
-            ArrivalOutcome::Queued => {
-                panic!("credit-retry scenarios never queue internally: decision {i}")
-            }
-        };
-        if *got != want {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!(
-                    "decision {i} at t={:.4} (redirector {}, principal {:?}): \
-                     sim {:?}, live {:?}",
-                    d.time, d.redirector, d.principal, want, got
-                );
-            }
-        }
-    }
-    assert_eq!(
-        mismatches,
-        0,
-        "{mismatches} of {} decisions diverged between sim and live",
-        decisions.len()
-    );
-}
-
-/// The sharded data plane's acceptance test: the same trace replayed
-/// through per-shard [`ShardCore`]s (no mutex, one tree leaf per shard)
-/// also reproduces every simulator decision with zero mismatches — the
-/// epoll refactor changed the transport, not the enforcement semantics.
-#[test]
-fn sharded_cores_reproduce_simulator_decisions_exactly() {
-    let duration = 3.0;
-    let decisions = simulate(duration);
-    assert!(decisions.len() > 300, "thin trace: {}", decisions.len());
-
-    let live = replay_sharded(&decisions, duration);
-    assert_eq!(live.len(), decisions.len());
-    let mut mismatches = 0;
-    for (i, (d, got)) in decisions.iter().zip(&live).enumerate() {
-        let want = match d.outcome {
-            ArrivalOutcome::Forward { server } => Some(server),
-            ArrivalOutcome::Defer => None,
-            ArrivalOutcome::Queued => {
-                panic!("credit-retry scenarios never queue internally: decision {i}")
-            }
-        };
-        if *got != want {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!(
-                    "decision {i} at t={:.4} (shard {}, principal {:?}): \
-                     sim {:?}, sharded {:?}",
-                    d.time, d.redirector, d.principal, want, got
-                );
-            }
-        }
-    }
-    assert_eq!(
-        mismatches,
-        0,
-        "{mismatches} of {} decisions diverged between sim and sharded cores",
-        decisions.len()
-    );
-}
-
-/// Replays the trace through the *wire* transport: every node is a real
-/// socket endpoint with its own epoll runtime thread, connected over
-/// loopback TCP, and the admission controls coordinate through `Up`/`Down`
-/// frames instead of shared memory. Virtual stamping plus a per-boundary
-/// barrier on round completion keeps the replay deterministic: each
-/// boundary's global total is on every node before the next read.
-fn replay_wire(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
-    use std::time::{Duration, Instant};
-
-    let levels = fig6_graph().access_levels();
-    let window = SchedulerConfig::community_default().window_secs;
-    let nodes = covenant::wire::spawn_local(
-        &[None, Some(0)],
-        1,
-        covenant::wire::StampMode::Virtual,
-        Duration::from_secs_f64(window),
-    )
-    .expect("spawn loopback wire tree");
-    let transports: Vec<_> = nodes.iter().map(|n| n.transport()).collect();
-    let ctrls: Vec<_> = (0..2)
-        .map(|node| {
-            let transport: std::sync::Arc<dyn covenant::tree::CoordTransport> =
-                transports[node].clone();
-            AdmissionControl::new(
-                node,
-                &levels,
-                SchedulerConfig::community_default(),
-                Coordinator::with_transport(transport, 0.0),
-            )
-        })
-        .collect();
-
-    let mut boundary: u64 = 0;
-    let mut outcomes = Vec::with_capacity(decisions.len());
-    for d in decisions {
-        loop {
-            let t = boundary as f64 * window;
-            if t > d.time || t > duration {
-                break;
-            }
-            for ctrl in &ctrls {
-                ctrl.roll_window_at(None, t);
-            }
-            boundary += 1;
-            // Barrier: the round published at this boundary must close on
-            // every node (its Down must arrive) before anyone reads again.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            for tp in &transports {
-                while tp.completed_rounds() < boundary {
-                    assert!(Instant::now() < deadline, "wire round {boundary} stalled");
-                    std::thread::yield_now();
-                }
-            }
-        }
-        assert_eq!(d.cost, 1.0, "replay assumes unit-cost arrivals");
-        outcomes.push(ctrls[d.redirector].try_admit(d.principal, None));
-    }
-    outcomes
+    assert_reproduces(&decisions, &replay_in_process(&decisions, duration), "sharded cores");
 }
 
 /// The wire transport's acceptance test: the same trace replayed over real
 /// loopback sockets — length-prefixed frames, per-node epoll runtimes —
-/// still reproduces every simulator decision with zero mismatches. All
-/// three transports (in-process, sharded cores, wire) are decision-
-/// equivalent; only the medium changes.
+/// still reproduces every simulator decision with zero mismatches. Both
+/// transports (in-process, wire) are decision-equivalent; only the medium
+/// changes.
 #[test]
 fn wire_transport_reproduces_simulator_decisions_exactly() {
     let duration = 3.0;
     let decisions = simulate(duration);
     assert!(decisions.len() > 300, "thin trace: {}", decisions.len());
-
-    let live = replay_wire(&decisions, duration);
-    assert_eq!(live.len(), decisions.len());
-    let mut mismatches = 0;
-    for (i, (d, got)) in decisions.iter().zip(&live).enumerate() {
-        let want = match d.outcome {
-            ArrivalOutcome::Forward { server } => Some(server),
-            ArrivalOutcome::Defer => None,
-            ArrivalOutcome::Queued => {
-                panic!("credit-retry scenarios never queue internally: decision {i}")
-            }
-        };
-        if *got != want {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!(
-                    "decision {i} at t={:.4} (node {}, principal {:?}): \
-                     sim {:?}, wire {:?}",
-                    d.time, d.redirector, d.principal, want, got
-                );
-            }
-        }
-    }
-    assert_eq!(
-        mismatches,
-        0,
-        "{mismatches} of {} decisions diverged between sim and the wire transport",
-        decisions.len()
-    );
+    assert_reproduces(&decisions, &replay_wire(&decisions, duration), "the wire transport");
 }
 
-/// The replay itself is deterministic: running it twice against fresh live
-/// control planes yields identical decision vectors (guards against hidden
+/// The replay itself is deterministic: running it twice against fresh
+/// shard cores yields identical decision vectors (guards against hidden
 /// wall-clock dependence in the virtual-time path).
 #[test]
 fn live_replay_is_deterministic() {
     let duration = 1.5;
     let decisions = simulate(duration);
     assert!(!decisions.is_empty());
-    assert_eq!(replay(&decisions, duration), replay(&decisions, duration));
+    assert_eq!(
+        replay_in_process(&decisions, duration),
+        replay_in_process(&decisions, duration)
+    );
 }
