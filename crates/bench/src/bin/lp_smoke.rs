@@ -1,8 +1,8 @@
 //! Warm-solver smoke gate for tier-1: steady-state window solves at
 //! n = 256 principals must stay far inside the paper's 100 ms window
-//! budget, and the warm engine must never hand a window of this shape to
-//! the dense fallback (whose tableau is quadratic in `n²` and would blow
-//! the budget by orders of magnitude).
+//! budget, the window LP must have one column per agreement-backed pair
+//! (507 here, not 1 + 256²), and the warm engine must never hand a window
+//! of this shape to the dense fallback.
 //!
 //! The run primes a prepared community skeleton with one cold window,
 //! then solves a sequence of rhs-perturbed windows through the persistent
@@ -19,9 +19,11 @@ use std::time::Instant;
 const N: usize = 256;
 /// Perturbed steady-state windows to drive.
 const WINDOWS: usize = 24;
-/// Per-window warm-solve budget: a quarter of the paper's 100 ms window,
-/// leaving generous headroom for slow CI machines.
-const BUDGET_MS: f64 = 25.0;
+/// LP columns of the gated workload: θ plus its 506 agreement-backed pairs.
+const COLUMNS: usize = 507;
+/// Per-window warm-solve budget: a twentieth of the paper's 100 ms window
+/// and about ten times the worst warm window measured on a 2-vCPU host.
+const BUDGET_MS: f64 = 5.0;
 
 fn main() {
     // Two-tier provider/consumer community: keeps the exact path closure
@@ -32,6 +34,8 @@ fn main() {
     let mut ws = SimplexWorkspace::new();
 
     let base: Vec<f64> = (0..N).map(|i| 10.0 + (i as f64) * 3.0).collect();
+    let columns = prepared.window_problem(&base).n_vars();
+    assert_eq!(columns, COLUMNS, "window LP must be sized by its agreements");
     let cold_start = Instant::now();
     let plan = prepared.plan_with(&mut ws, &base);
     let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
@@ -68,7 +72,7 @@ fn main() {
         "expected ≥{WINDOWS} warm solves, got {stats:?}"
     );
     println!(
-        "lp smoke: n={N} cold {cold_ms:.2} ms, {WINDOWS} warm windows worst \
+        "lp smoke: n={N} ({columns} columns) cold {cold_ms:.2} ms, {WINDOWS} warm windows worst \
          {worst_ms:.2} ms (budget {BUDGET_MS} ms), {} pivots total, \
          {} refactorizations, 0 dense fallbacks",
         stats.pivots, stats.refactorizations

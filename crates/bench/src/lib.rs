@@ -39,7 +39,7 @@ pub fn random_graph(n: usize, density: f64, seed: u64) -> AgreementGraph {
 /// exact transitive-flow closure stays linear in the edge count —
 /// [`random_graph`]'s free-form topology makes path enumeration
 /// intractable past a few dozen principals, while the window LP it feeds
-/// keeps the same shape (n² + 1 variables, agreement-sparsified columns).
+/// keeps the same shape (θ plus one column per agreement-backed pair).
 pub fn bipartite_graph(n: usize, seed: u64) -> AgreementGraph {
     let mut rng = SmallLcg::new(seed);
     let mut g = AgreementGraph::new();
@@ -302,6 +302,21 @@ mod tests {
             assert!(ag.holder.0 >= 32, "provider holds an agreement");
         }
         assert!(!a.agreements().is_empty());
+    }
+
+    #[test]
+    fn window_lp_is_sized_by_its_agreements() {
+        // The window-path benchmark's graph: one LP column for θ plus one
+        // per agreement-backed (principal, server) pair, not 1 + 64².
+        use covenant_agreements::PrincipalId;
+        let levels = bipartite_graph(64, 7).access_levels().scaled(0.1);
+        let pairs = (0..64)
+            .flat_map(|i| (0..64).map(move |k| (PrincipalId(i), PrincipalId(k))))
+            .filter(|&(i, k)| levels.mand_share(i, k) + levels.opt_share(i, k) > 0.0)
+            .count();
+        assert_eq!(pairs, 126);
+        let mut prepared = covenant_sched::PreparedCommunity::new(&levels, None);
+        assert_eq!(prepared.window_problem(&[10.0; 64]).n_vars(), 127);
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!   of principals where the tableau fits in cache;
 //! * the sparse revised simplex with a warm-started dual phase
 //!   ([`Problem::solve_warm`] through a persistent [`WarmBasis`]) — the
-//!   large-`n` path. The window LPs have `O(n²)` variables but only
-//!   `O(agreements)` nonzeros, and consecutive 100 ms windows differ only
+//!   large-`n` path. The community window LP has one variable per
+//!   agreement-backed pair and `O(agreements)` nonzeros, and consecutive
+//!   100 ms windows differ only
 //!   in queue-derived rhs and bounds, so re-solving from the previous
 //!   window's basis takes a handful of dual pivots instead of a full
 //!   cold solve. On shape changes or numerical trouble the warm engine

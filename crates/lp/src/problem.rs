@@ -63,12 +63,31 @@ impl std::error::Error for LpError {}
 /// [`Problem::try_set_objective`]; the plain methods are convenience wrappers
 /// that panic on malformed input (appropriate for the schedulers, which
 /// construct programs from already-validated data).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     n_vars: usize,
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
     upper_bounds: Vec<Option<f64>>,
+    /// Running FNV-1a state over the constraint pattern (`n_vars`, then per
+    /// row its relation, coefficient count and variable ids), extended as
+    /// rows are added; see [`Self::pattern_fingerprint`].
+    pattern: u64,
+}
+
+impl Default for Problem {
+    fn default() -> Self {
+        Problem::new(0)
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Folds one word into an FNV-1a state, byte by byte.
+fn fnv_eat(h: u64, v: u64) -> u64 {
+    v.to_le_bytes()
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
 impl Problem {
@@ -80,7 +99,17 @@ impl Problem {
             objective: vec![0.0; n_vars],
             constraints: Vec::new(),
             upper_bounds: vec![None; n_vars],
+            pattern: fnv_eat(FNV_OFFSET, n_vars as u64),
         }
+    }
+
+    /// Fingerprint of the constraint pattern: variable count, row count,
+    /// relations, and each row's coefficient variable ids. Value updates
+    /// (rhs, coefficient values, bounds, objective) leave it unchanged;
+    /// adding a row changes it. Kept current as the problem is built, so
+    /// reading it is O(1). Never 0.
+    pub(crate) fn pattern_fingerprint(&self) -> u64 {
+        fnv_eat(self.pattern, self.constraints.len() as u64) | 1
     }
 
     /// Number of structural variables.
@@ -143,6 +172,17 @@ impl Problem {
                 return Err(LpError::NonFinite);
             }
         }
+        let rel_id = match rel {
+            Relation::Le => 1,
+            Relation::Ge => 2,
+            Relation::Eq => 3,
+        };
+        let mut h = fnv_eat(self.pattern, rel_id);
+        h = fnv_eat(h, coeffs.len() as u64);
+        for &(j, _) in &coeffs {
+            h = fnv_eat(h, j as u64);
+        }
+        self.pattern = h;
         self.constraints.push(Constraint { coeffs, rel, rhs });
         Ok(())
     }
@@ -291,6 +331,47 @@ mod tests {
         p.set_upper_bound(0, 3.0);
         p.set_upper_bound(0, 7.0);
         assert_eq!(p.upper_bounds()[0], Some(3.0));
+    }
+
+    #[test]
+    fn default_is_the_empty_problem() {
+        assert_eq!(Problem::default(), Problem::new(0));
+        assert_eq!(
+            Problem::default().pattern_fingerprint(),
+            Problem::new(0).pattern_fingerprint()
+        );
+    }
+
+    #[test]
+    fn pattern_fingerprint_tracks_structure_not_values() {
+        let mut p = Problem::new(3);
+        p.add_constraint(vec![(0, 1.0), (1, 2.0)], Relation::Le, 4.0);
+        p.add_constraint(vec![(2, 1.0)], Relation::Ge, 1.0);
+        let fp = p.pattern_fingerprint();
+        assert_ne!(fp, 0);
+        // Value updates keep the pattern.
+        let mut v = p.clone();
+        v.set_constraint_rhs(0, 9.0);
+        v.set_constraint_coeff(0, 1, -3.0);
+        v.set_upper_bound_exact(2, 5.0);
+        v.set_objective(vec![1.0, 0.0, 2.0]);
+        assert_eq!(v.pattern_fingerprint(), fp);
+        // Structure changes do not.
+        let mut grown = p.clone();
+        grown.add_constraint(vec![(0, 1.0)], Relation::Le, 1.0);
+        assert_ne!(grown.pattern_fingerprint(), fp);
+        let mut wider = Problem::new(4);
+        wider.add_constraint(vec![(0, 1.0), (1, 2.0)], Relation::Le, 4.0);
+        wider.add_constraint(vec![(2, 1.0)], Relation::Ge, 1.0);
+        assert_ne!(wider.pattern_fingerprint(), fp);
+        let mut moved = Problem::new(3);
+        moved.add_constraint(vec![(0, 1.0), (2, 2.0)], Relation::Le, 4.0);
+        moved.add_constraint(vec![(2, 1.0)], Relation::Ge, 1.0);
+        assert_ne!(moved.pattern_fingerprint(), fp);
+        let mut flipped = Problem::new(3);
+        flipped.add_constraint(vec![(0, 1.0), (1, 2.0)], Relation::Ge, 4.0);
+        flipped.add_constraint(vec![(2, 1.0)], Relation::Ge, 1.0);
+        assert_ne!(flipped.pattern_fingerprint(), fp);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Sparse revised simplex with a warm-started dual phase.
 //!
 //! The dense tableau in [`crate::simplex`] is the right tool for a few
-//! dozen principals, but the window LPs grow as `n² + 1` variables: at
-//! n = 1024 a dense tableau would need tens of gigabytes. This module is
-//! the large-`n` engine behind `Problem::solve_warm`:
+//! dozen principals, but it stores every row against every column and
+//! slack: the community window LP has about `4n` rows, so at n = 1024 the
+//! tableau holds tens of millions of entries and each pivot touches all of
+//! them. This module is the large-`n` engine behind `Problem::solve_warm`:
 //!
-//! - **Sparse problem columns.** The flow matrices of the window LPs are
-//!   mostly zeros (a principal has agreements with a handful of peers), so
-//!   constraint columns are stored once per prepared shape in compressed
-//!   sparse column form. Slack columns are implicit unit columns. Variables
-//!   fixed at zero (no agreement between a pair) never enter pricing: the
-//!   solver iterates an *active* column list of size `O(nnz)`, not `O(n²)`.
+//! - **Sparse problem columns.** Each window-LP column (one per
+//!   agreement-backed pair) meets a handful of rows, so constraint columns
+//!   are stored once per prepared shape in compressed sparse column form.
+//!   Slack columns are implicit unit columns. Variables fixed at zero (a
+//!   zero-width box, such as a multi-resource pair with an empty queue)
+//!   never enter pricing: the solver iterates an *active* column list.
 //! - **Product-form basis inverse.** The basis inverse is an eta file
 //!   (elementary column transforms) grown by one eta per pivot and rebuilt
 //!   from the identity slack basis every `refactor_after` pivots — the
@@ -159,6 +160,8 @@ pub struct WarmBasis {
     rho: Vec<f64>,
     rho2: Vec<f64>,
     alpha: Vec<f64>,
+    /// Basis slots whose column values changed in the last value sync.
+    changed_slots: Vec<u32>,
     x_out: Vec<f64>,
     objective: f64,
 
@@ -206,32 +209,6 @@ impl WarmBasis {
 
     fn ncols(&self) -> usize {
         self.n_vars + self.m
-    }
-
-    /// FNV-1a over everything that determines the constraint pattern:
-    /// variable count, row count, relations, and coefficient variable ids.
-    fn pattern_fingerprint(problem: &Problem) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(problem.n_vars() as u64);
-        eat(problem.n_constraints() as u64);
-        for c in problem.constraints() {
-            eat(match c.rel {
-                Relation::Le => 1,
-                Relation::Ge => 2,
-                Relation::Eq => 3,
-            });
-            eat(c.coeffs.len() as u64);
-            for &(j, _) in &c.coeffs {
-                eat(j as u64);
-            }
-        }
-        h | 1 // never 0, which means "unbound"
     }
 
     /// Builds the CSC store and per-column tables for a new shape.
@@ -318,14 +295,15 @@ impl WarmBasis {
         // Refactorization cadence: often enough that FTRAN/BTRAN stay
         // cheap, rarely enough that rebuild cost amortizes.
         self.refactor_after = 96 + m / 8;
-        self.shape = Self::pattern_fingerprint(problem);
+        self.shape = problem.pattern_fingerprint();
     }
 
     /// Syncs mutable problem data (coefficient values, bounds, rhs,
-    /// objective) into the store. Returns the basis slots whose columns
-    /// changed value, or `None` if the handle must cold start anyway.
-    fn sync_values(&mut self, problem: &Problem) -> Vec<u32> {
-        let mut changed_slots: Vec<u32> = Vec::new();
+    /// objective) into the store, collecting into `changed_slots` the
+    /// basis slots whose columns changed value.
+    fn sync_values(&mut self, problem: &Problem) {
+        let mut changed_slots = std::mem::take(&mut self.changed_slots);
+        changed_slots.clear();
         let mut seq = 0usize;
         for c in problem.constraints() {
             for &(j, v) in &c.coeffs {
@@ -352,7 +330,7 @@ impl WarmBasis {
         for (j, &c) in problem.objective().iter().enumerate() {
             self.cost[j] = c;
         }
-        changed_slots
+        self.changed_slots = changed_slots;
     }
 
     /// Rebuilds the active-column list (everything not fixed to a
@@ -1062,15 +1040,15 @@ impl WarmBasis {
     /// Solves `problem` through this handle. See [`Problem::solve_warm`].
     pub(crate) fn solve(&mut self, problem: &Problem) -> WarmOutcome {
         self.stats.solves += 1;
-        let same_shape = self.shape != 0 && self.shape == Self::pattern_fingerprint(problem);
+        let same_shape = self.shape != 0 && self.shape == problem.pattern_fingerprint();
         if !same_shape {
             self.rebuild_store(problem);
-            let _ = self.sync_values(problem);
+            self.sync_values(problem);
             self.rebuild_active();
             return self.cold_attempt(problem);
         }
 
-        let changed_slots = self.sync_values(problem);
+        self.sync_values(problem);
         self.rebuild_active();
         if self.basis.is_empty() {
             return self.cold_attempt(problem);
@@ -1079,6 +1057,7 @@ impl WarmBasis {
         // Rank-one basis updates for changed basic columns (the θ column,
         // most windows); a near-singular replacement forces a rebuild.
         let mut need_refactor = false;
+        let changed_slots = std::mem::take(&mut self.changed_slots);
         for &p in &changed_slots {
             let p = p as usize;
             let mut w = std::mem::take(&mut self.work);
@@ -1092,6 +1071,7 @@ impl WarmBasis {
             self.eta_push(p, &w);
             self.work = w;
         }
+        self.changed_slots = changed_slots;
         if need_refactor && self.refactorize().is_err() {
             return self.cold_attempt(problem);
         }
@@ -1267,6 +1247,34 @@ mod tests {
         assert_eq!(stats.solves, 5);
         assert!(stats.warm_solves >= 4, "stats {stats:?}");
         assert_eq!(stats.cold_starts, 1);
+    }
+
+    #[test]
+    fn value_updates_stay_warm_and_added_rows_cold_start() {
+        let mut p = Problem::new(3);
+        p.set_objective(vec![1.0, 0.0, 0.0]);
+        p.set_upper_bound(0, 1.0);
+        p.add_constraint(vec![(0, -40.0), (1, 1.0)], Relation::Ge, 0.0);
+        p.add_constraint(vec![(0, -20.0), (2, 1.0)], Relation::Ge, 0.0);
+        p.add_constraint(vec![(1, 1.0), (2, 1.0)], Relation::Le, 30.0);
+        p.set_upper_bound(1, 40.0);
+        p.set_upper_bound(2, 20.0);
+        let mut warm = WarmBasis::new();
+        assert_matches_reference(&p, &mut warm);
+        assert_eq!(warm.stats().cold_starts, 1);
+        // Every kind of value update: rhs, coefficient, bound, objective.
+        p.set_constraint_rhs(2, 27.0);
+        p.set_constraint_coeff(0, 0, -44.0);
+        p.set_upper_bound_exact(2, 18.0);
+        p.set_objective(vec![1.0, 0.0, 0.001]);
+        assert_matches_reference(&p, &mut warm);
+        assert_eq!(warm.stats().cold_starts, 1, "value updates must keep the basis");
+        assert_eq!(warm.stats().warm_solves, 1);
+        // One added row is a new shape: the handle must rebind cold.
+        let mut grown = p.clone();
+        grown.add_constraint(vec![(1, 1.0)], Relation::Le, 10.0);
+        assert_matches_reference(&grown, &mut warm);
+        assert_eq!(warm.stats().cold_starts, 2, "an added row must cold-start");
     }
 
     #[test]

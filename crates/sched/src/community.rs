@@ -77,27 +77,30 @@ impl CommunityScheduler {
 ///
 /// All rows exist for every window: principals with an empty queue keep a
 /// trivially-satisfied coverage row (θ-coefficient 0) and floor row
-/// (rhs 0), so the tableau shape is identical across windows and
-/// [`SimplexWorkspace`] reuse never reallocates. Per window only the
-/// right-hand sides and the queue-derived θ-coefficients are rewritten.
+/// (rhs 0), so the problem shape is identical across windows and the warm
+/// basis carries over. Per window only the right-hand sides and the
+/// queue-derived θ-coefficients are rewritten.
+///
+/// Column layout: θ is column 0, then one column per agreement-backed pair
+/// `(i, k)` (upper bound `MI_ki + OI_ki > 0`), in row-major order. Pairs
+/// without an agreement have no column at all, so the LP's variable and
+/// nonzero counts grow with the agreements, not with `n²`.
+/// [`Self::plan_with`] scatters the compact solution back into the dense
+/// `n × n` [`Plan`]; [`Self::window_point`] maps a plan back.
 ///
 /// Row layout: for principal `i`, rows `3i` (queue limit `≤ n_i`),
 /// `3i + 1` (θ coverage `≥ 0`), `3i + 2` (mandatory floor `≥ floor_i`);
 /// then one capacity row per server (each followed by its locality row
-/// when caps are configured).
-///
-/// Rows carry only the `x_ik` whose agreement upper bound is positive —
-/// pairs with no agreement are zero-bounded and structurally absent — so
-/// the matrix has `O(agreements)` nonzeros, not `O(n²)`. The θ coefficient
-/// sits at slot 0 of every coverage row (the one per-window coefficient
-/// rewrite). A principal with no agreements at all keeps an empty queue/
-/// floor row and a coverage row of just `−θ·n_i ≥ 0`, which forces `θ = 0`
-/// whenever it has demand — exactly what the dense formulation did via its
-/// zero-bounded columns.
+/// when caps are configured). The θ coefficient sits at slot 0 of every
+/// coverage row (the one per-window coefficient rewrite). A principal with
+/// no agreements at all keeps an empty queue/floor row and a coverage row
+/// of just `−θ·n_i ≥ 0`, which forces `θ = 0` whenever it has demand.
 #[derive(Debug, Clone)]
 pub struct PreparedCommunity {
     n: usize,
     base: Problem,
+    /// `pairs[c] = (i, k)`: the pair behind column `1 + c`.
+    pairs: Vec<(usize, usize)>,
     /// Window-scaled mandatory level `MC_i` per principal.
     mandatory: Vec<f64>,
     /// Persistent basis for the warm-started revised solver.
@@ -111,30 +114,33 @@ impl PreparedCommunity {
     pub fn new(levels: &AccessLevels, locality: Option<LocalityCaps>) -> Self {
         let n = levels.len();
         let caps = levels.capacities();
-        // Variable layout: 0 = θ, then x_{ik} at 1 + i·n + k.
-        let xv = |i: usize, k: usize| 1 + i * n + k;
-        let mut p = Problem::new(1 + n * n);
+        // Agreement-backed pairs with their upper bounds, row-major.
+        let mut pairs = Vec::new();
+        let mut ub = Vec::new();
+        for i in 0..n {
+            for k in 0..n {
+                let upper = levels.mand_share(PrincipalId(i), PrincipalId(k))
+                    + levels.opt_share(PrincipalId(i), PrincipalId(k));
+                if upper > 0.0 {
+                    pairs.push((i, k));
+                    ub.push(upper);
+                }
+            }
+        }
+        let mut p = Problem::new(1 + pairs.len());
         p.set_objective_coeff(0, 1.0);
         if n > 0 {
             p.set_upper_bound(0, 1.0); // θ ≤ 1: cannot serve more than the queue
         }
-        // Agreement upper bounds, and which pairs exist at all.
-        let mut ub = vec![0.0f64; n * n];
-        for i in 0..n {
-            let pi = PrincipalId(i);
-            for k in 0..n {
-                let pk = PrincipalId(k);
-                let upper = levels.mand_share(pi, pk) + levels.opt_share(pi, pk);
-                ub[i * n + k] = upper.max(0.0);
-            }
+        let mut by_principal = vec![Vec::new(); n];
+        let mut by_server = vec![Vec::new(); n];
+        for (c, (&(i, k), &u)) in pairs.iter().zip(&ub).enumerate() {
+            p.set_upper_bound(1 + c, u);
+            by_principal[i].push((1 + c, 1.0));
+            by_server[k].push((1 + c, 1.0));
         }
         let mut mandatory = Vec::with_capacity(n);
-        for i in 0..n {
-            // Only agreement-backed pairs appear in the rows.
-            let row: Vec<(usize, f64)> = (0..n)
-                .filter(|&k| ub[i * n + k] > 0.0)
-                .map(|k| (xv(i, k), 1.0))
-                .collect();
+        for (i, row) in by_principal.into_iter().enumerate() {
             // Queue limit: Σ_k x_ik ≤ n_i.
             p.add_constraint(row.clone(), Relation::Le, 0.0);
             // θ coverage: Σ_k x_ik − θ n_i ≥ 0. The θ coefficient (slot 0)
@@ -145,23 +151,23 @@ impl PreparedCommunity {
             p.add_constraint(cov, Relation::Ge, 0.0);
             // Mandatory guarantee: demand up to MC_i is always served.
             p.add_constraint(row, Relation::Ge, 0.0);
-            for k in 0..n {
-                p.set_upper_bound(xv(i, k), ub[i * n + k]);
-            }
             mandatory.push(levels.mandatory(PrincipalId(i)));
         }
         // Server capacities: Σ_i x_ik ≤ V_k, plus locality caps.
-        for k in 0..n {
-            let row: Vec<(usize, f64)> = (0..n)
-                .filter(|&i| ub[i * n + k] > 0.0)
-                .map(|i| (xv(i, k), 1.0))
-                .collect();
+        for (k, row) in by_server.into_iter().enumerate() {
             p.add_constraint(row.clone(), Relation::Le, caps[k].max(0.0));
             if let Some(LocalityCaps(c)) = &locality {
                 p.add_constraint(row, Relation::Le, c[k].max(0.0));
             }
         }
-        PreparedCommunity { n, base: p, mandatory, warm: WarmBasis::new(), dense_fallbacks: 0 }
+        PreparedCommunity {
+            n,
+            base: p,
+            pairs,
+            mandatory,
+            warm: WarmBasis::new(),
+            dense_fallbacks: 0,
+        }
     }
 
     /// Number of principals the skeleton was built for.
@@ -193,12 +199,25 @@ impl PreparedCommunity {
         &self.base
     }
 
+    /// Scatters a solution of the window LP into the dense plan.
     fn extract(&self, x: &[f64]) -> Plan {
-        let n = self.n;
-        let assignments = (0..n)
-            .map(|i| (0..n).map(|k| x[1 + i * n + k].max(0.0)).collect())
-            .collect();
-        Plan { assignments, theta: x.first().copied(), income: None }
+        let mut plan = Plan::zero(self.n, self.n);
+        for (&(i, k), &v) in self.pairs.iter().zip(&x[1..]) {
+            plan.assignments[i][k] = v.max(0.0);
+        }
+        plan.theta = x.first().copied();
+        plan
+    }
+
+    /// The inverse of the plan extraction: the point of
+    /// [`Self::window_problem`]'s variable space that `plan` describes (θ
+    /// at 0, each agreement-backed pair at its column). Pairs without an
+    /// agreement have no column and are dropped.
+    pub fn window_point(&self, plan: &Plan) -> Vec<f64> {
+        let mut x = Vec::with_capacity(1 + self.pairs.len());
+        x.push(plan.theta.unwrap_or(0.0));
+        x.extend(self.pairs.iter().map(|&(i, k)| plan.assignments[i][k]));
+        x
     }
 
     /// Warm solve with dense fallback; `None` means infeasible under both

@@ -129,7 +129,8 @@ pub struct WindowScheduler {
     lp_ws: SimplexWorkspace,
     cache: PlanCache,
     /// Scratch for the global/local demand merge, reused across windows so
-    /// steady-state planning allocates nothing.
+    /// the merge itself does not allocate. Planning still allocates: each
+    /// solve and each local scaling builds an `n × n` [`Plan`].
     merged_buf: Vec<f64>,
     /// Warm-solver counters accumulated from engines retired by
     /// [`WindowScheduler::update_levels`] (a level change rebuilds the
@@ -449,6 +450,42 @@ mod tests {
         }
         assert!(cached.cache_stats().0 > 0, "walk contained repeats; cache must hit");
         assert_eq!(uncached.cache_stats(), (0, 0));
+    }
+
+    #[test]
+    fn plans_do_not_depend_on_demand_history() {
+        // Two equal servers shared by two consumers on identical terms:
+        // the optimal face is fat (any split of each consumer across the
+        // servers reaches θ*), so the returned vertex must be pinned by
+        // the problem, not by the warm basis a history left behind.
+        let mut g = AgreementGraph::new();
+        let s1 = g.add_principal("S1", 160.0);
+        let s2 = g.add_principal("S2", 160.0);
+        let a = g.add_principal("A", 0.0);
+        let b = g.add_principal("B", 0.0);
+        for s in [s1, s2] {
+            g.add_agreement(s, a, 0.3, 1.0).unwrap();
+            g.add_agreement(s, b, 0.3, 1.0).unwrap();
+        }
+        let lv = g.access_levels();
+        let mut first = WindowScheduler::new(&lv, SchedulerConfig::community_default());
+        let mut second = WindowScheduler::new(&lv, SchedulerConfig::community_default());
+        // Without canonicalization these two histories leave A on
+        // opposite servers.
+        for q in [[0.0, 0.0, 4.0, 43.0], [0.0, 0.0, 22.0, 1.0], [0.0, 0.0, 40.0, 30.0]] {
+            first.plan_global(&q);
+        }
+        for q in [[0.0, 0.0, 3.0, 34.0], [0.0, 0.0, 38.0, 13.0], [0.0, 0.0, 59.0, 17.0]] {
+            second.plan_global(&q);
+        }
+        let last = [0.0, 0.0, 30.0, 21.0];
+        let (x, y) = (first.plan_global(&last), second.plan_global(&last));
+        assert!(x.theta.is_some());
+        for (rx, ry) in x.assignments.iter().zip(&y.assignments) {
+            for (vx, vy) in rx.iter().zip(ry) {
+                assert!((vx - vy).abs() < 1e-9, "histories disagree: {x:?} vs {y:?}");
+            }
+        }
     }
 
     #[test]

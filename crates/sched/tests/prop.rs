@@ -142,6 +142,17 @@ proptest! {
                 continue; // plan_with short-circuits to the zero plan
             }
             let plan = prepared.plan_with(&mut ws, &q);
+            // A pair without an agreement has no LP column: the plan must
+            // leave it exactly empty.
+            for i in 0..n {
+                for k in 0..n {
+                    let ub = lv.mand_share(PrincipalId(i), PrincipalId(k))
+                        + lv.opt_share(PrincipalId(i), PrincipalId(k));
+                    if ub <= 0.0 {
+                        prop_assert_eq!(plan.assignments[i][k], 0.0, "pair ({}, {})", i, k);
+                    }
+                }
+            }
             // When floors are infeasible plan_with retries without them;
             // safety invariants are covered by community_plan_invariants.
             if let LpOutcome::Optimal(s) = prepared.window_problem(&q).solve_reference() {
@@ -151,14 +162,8 @@ proptest! {
                     q, plan.theta, s.objective
                 );
                 // The plan must be feasible for the window problem it
-                // claims to solve (θ re-attached as variable 0).
-                let mut x = vec![0.0; 1 + n * n];
-                x[0] = plan.theta.unwrap_or(0.0);
-                for i in 0..n {
-                    for k in 0..n {
-                        x[1 + i * n + k] = plan.assignments[i][k];
-                    }
-                }
+                // claims to solve, mapped back into that problem's columns.
+                let x = prepared.window_point(&plan);
                 prop_assert!(
                     prepared.window_problem(&q).is_feasible(&x, 1e-5),
                     "warm plan infeasible for its own window"
